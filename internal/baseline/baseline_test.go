@@ -16,8 +16,23 @@ func tinyWorkload() expcfg.Workload {
 	w.Img.Classes = 4
 	w.FL.BaseIterTime = 0.1
 	w.FL.ModelBytes = 0
-	w.FL.RetainUpdateDeltas = true
 	return w.Shrink(8, 256, 128, 16)
+}
+
+// firstDelta runs client 0's first round under scheme s on a fresh
+// one-client testbed and returns the delta it uploads.
+func firstDelta(t *testing.T, s fl.Scheme, seed uint64) []float64 {
+	t.Helper()
+	w := tinyWorkload()
+	tb := expcfg.Build(w, 1, trace.Config{}, seed)
+	net := tb.Factory()
+	cfg := w.FL
+	if err := cfg.Validate(net.NumParams()); err != nil {
+		t.Fatal(err)
+	}
+	c := tb.Clients[0]
+	plan := s.PlanRound(0, fl.NewHistory())
+	return fl.RunClientRound(c, net, net.FlatParams(), &cfg, plan, s.NewController(c, 0, plan), 0, 0).Delta
 }
 
 func TestNames(t *testing.T) {
@@ -43,14 +58,8 @@ func TestFedProxKeepsParamsCloserToGlobal(t *testing.T) {
 	// The proximal term must shrink ‖w_local − w_global‖ relative to FedAvg
 	// on the identical trajectory.
 	dist := func(s fl.Scheme) float64 {
-		tb := expcfg.Build(tinyWorkload(), 1, trace.Config{}, 1)
-		r, err := tb.NewRunner(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := r.RunRound()
 		d := 0.0
-		for _, v := range res.Collected[0].Delta {
+		for _, v := range firstDelta(t, s, 1) {
 			d += v * v
 		}
 		return math.Sqrt(d)
@@ -63,16 +72,8 @@ func TestFedProxKeepsParamsCloserToGlobal(t *testing.T) {
 }
 
 func TestFedProxSmallMuNearFedAvg(t *testing.T) {
-	run := func(s fl.Scheme) []float64 {
-		tb := expcfg.Build(tinyWorkload(), 1, trace.Config{}, 2)
-		r, err := tb.NewRunner(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.RunRound().Collected[0].Delta
-	}
-	a := run(baseline.FedAvg{})
-	p := run(baseline.FedProx{Mu: 1e-9})
+	a := firstDelta(t, baseline.FedAvg{}, 2)
+	p := firstDelta(t, baseline.FedProx{Mu: 1e-9}, 2)
 	var diff, norm float64
 	for i := range a {
 		diff += (a[i] - p[i]) * (a[i] - p[i])

@@ -26,8 +26,6 @@ type Oort struct {
 	Alpha    float64 // system penalty exponent (default 2, as in Oort)
 
 	r *rng.RNG
-	// lastLoss remembers each client's most recent reported loss.
-	lastLoss map[int]float64
 }
 
 // NewOort builds an Oort selector.
@@ -35,7 +33,7 @@ func NewOort(k int, fraction float64, r *rng.RNG) *Oort {
 	if fraction <= 0 || fraction > 1 {
 		panic("baseline: Oort fraction must be in (0, 1]")
 	}
-	return &Oort{K: k, Fraction: fraction, Epsilon: 0.1, Alpha: 2, r: r, lastLoss: make(map[int]float64)}
+	return &Oort{K: k, Fraction: fraction, Epsilon: 0.1, Alpha: 2, r: r}
 }
 
 // Name returns "oort".
@@ -51,38 +49,9 @@ func (*Oort) NewController(*fl.Client, int, fl.RoundPlan) fl.Controller {
 	return fl.NopController{}
 }
 
-// Observe folds round results into the loss memory. The runner does not call
-// this automatically; SelectClients pulls timings from History, and losses
-// are fed by the Aggregate hook below.
-func (o *Oort) observe(updates []fl.Update) {
-	for _, u := range updates {
-		if !u.Dropped {
-			o.lastLoss[u.ClientID] = u.TrainLoss
-		}
-	}
-}
-
-// Aggregate performs the default weighted FedAvg mean while capturing
-// client-reported losses for the next selection round.
-func (o *Oort) Aggregate(round int, flat []float64, collected, discarded []fl.Update) []float64 {
-	o.observe(collected)
-	var totalW float64
-	for _, u := range collected {
-		totalW += u.Weight
-	}
-	out := make([]float64, len(flat))
-	copy(out, flat)
-	for _, u := range collected {
-		w := u.Weight / totalW
-		for j, v := range u.Delta {
-			out[j] += w * v
-		}
-	}
-	return out
-}
-
 // SelectClients picks ceil(Fraction·total) clients: the ε share uniformly
-// from the unexplored/rest pool, the remainder by utility score.
+// from the unexplored/rest pool, the remainder by utility score. Losses and
+// round-time estimates both come from hist.
 func (o *Oort) SelectClients(round int, hist *fl.History, total int) []int {
 	k := int(math.Ceil(o.Fraction * float64(total)))
 	if k >= total {
@@ -102,7 +71,7 @@ func (o *Oort) SelectClients(round int, hist *fl.History, total int) []int {
 	var known []scored
 	var unknown []int
 	for id := 0; id < total; id++ {
-		loss, haveLoss := o.lastLoss[id]
+		loss, haveLoss := hist.LastLoss(id)
 		t, haveTime := est[id]
 		if !haveLoss || !haveTime {
 			unknown = append(unknown, id)

@@ -63,7 +63,7 @@ func (s *SAFA) Aggregate(round int, flat []float64, collected, discarded []fl.Up
 		}
 	}
 	// Cache this round's late-but-complete updates for the next aggregation.
-	// Copy the deltas: the runner may nil them out after we return.
+	// Copy the deltas: the runner recycles them after we return.
 	s.cache = s.cache[:0]
 	if s.Discount > 0 {
 		for _, u := range discarded {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fedca/internal/baseline"
+	"fedca/internal/chaos"
 	"fedca/internal/expcfg"
 	"fedca/internal/fl"
 	"fedca/internal/rng"
@@ -39,23 +40,13 @@ func TestOortPrefersHighLoss(t *testing.T) {
 	o.Epsilon = 0 // pure exploitation
 	h := fl.NewHistory()
 	// 8 clients, equal speeds, different losses; client 6 has highest loss.
-	var ups []fl.Update
 	for id := 0; id < 8; id++ {
 		loss := 0.1 * float64(id%4)
 		if id == 6 {
 			loss = 9
 		}
-		u := fl.Update{ClientID: id, Iterations: 10, TrainTime: 10, TrainLoss: loss}
-		h.Observe(u)
-		ups = append(ups, u)
+		h.Observe(fl.Update{ClientID: id, Iterations: 10, TrainTime: 10, TrainLoss: loss})
 	}
-	// Feed losses through the aggregation hook (zero-length deltas).
-	flat := []float64{}
-	for i := range ups {
-		ups[i].Delta = []float64{}
-		ups[i].Weight = 1
-	}
-	o.Aggregate(0, flat, ups, nil)
 	ids := o.SelectClients(1, h, 8)
 	if len(ids) != 2 {
 		t.Fatalf("selected %v", ids)
@@ -75,17 +66,13 @@ func TestOortPenalizesStragglers(t *testing.T) {
 	o := baseline.NewOort(10, 0.25, rng.New(4))
 	o.Epsilon = 0
 	h := fl.NewHistory()
-	var ups []fl.Update
 	for id := 0; id < 8; id++ {
 		tTime := 10.0
 		if id == 3 {
 			tTime = 1000 // extreme straggler with the same loss
 		}
-		u := fl.Update{ClientID: id, Iterations: 10, TrainTime: tTime, TrainLoss: 1, Weight: 1, Delta: []float64{}}
-		h.Observe(u)
-		ups = append(ups, u)
+		h.Observe(fl.Update{ClientID: id, Iterations: 10, TrainTime: tTime, TrainLoss: 1})
 	}
-	o.Aggregate(0, nil, ups, nil)
 	ids := o.SelectClients(1, h, 8)
 	for _, id := range ids {
 		if id == 3 {
@@ -168,7 +155,6 @@ func TestSAFADroppedNeverCached(t *testing.T) {
 func TestSAFAEndToEnd(t *testing.T) {
 	w := tinyWorkload()
 	w.FL.AggregateFraction = 0.5
-	w.FL.RetainUpdateDeltas = false // aggregator must still see deltas
 	tb := expcfg.Build(w, 6, trace.Config{HeterogeneitySigma: 1.2}, 7)
 	s := baseline.NewSAFA(0.5)
 	r, err := tb.NewRunner(s)
@@ -201,4 +187,32 @@ func TestSAFABadDiscountPanics(t *testing.T) {
 		}
 	}()
 	baseline.NewSAFA(1.5)
+}
+
+// TestSAFACorruptStragglersStayOut: SAFA folds last round's stragglers into
+// the next aggregation, so a corrupted late update must be quarantined on
+// arrival like one inside the cut, and the global model must stay finite.
+func TestSAFACorruptStragglersStayOut(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		w := tinyWorkload()
+		w.FL.AggregateFraction = 0.5
+		e, err := chaos.NewEngine(chaos.Config{CorruptProb: 0.5}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.FL.Chaos = e
+		tb := expcfg.Build(w, 6, trace.Config{}, seed)
+		r, err := tb.NewRunner(baseline.NewSAFA(0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			r.RunRound()
+		}
+		for j, v := range r.GlobalFlat() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("seed %d: global parameter %d is %v after 3 rounds", seed, j, v)
+			}
+		}
+	}
 }

@@ -168,38 +168,60 @@ type Testbed struct {
 	Seed      uint64
 }
 
-// Build assembles numClients clients with Dirichlet-partitioned local data,
-// per-client speed models from tcfg, and 13.7 Mbps shaped links. Everything
-// derives from seed.
-func Build(w Workload, numClients int, tcfg trace.Config, seed uint64) *Testbed {
-	master := rng.New(seed)
+// base is what Build and BuildFleet derive from the seed before any client:
+// the master RNG, the synthetic train and test sets, the per-client shard
+// floor, and the float64/float32 model factories. Both factories seed from
+// the one "model" fork, so the float32 network is the float64
+// initialization narrowed.
+type base struct {
+	master      *rng.RNG
+	train, test *data.Dataset
+	minPer      int
+	factory     func() *nn.Network
+	factory32   func() *nn.NetworkOf[float32]
+}
 
-	var train, test *data.Dataset
+func newBase(w Workload, seed uint64) base {
+	b := base{master: rng.New(seed), minPer: w.FL.BatchSize}
 	switch w.Name {
 	case "lstm":
 		gen := data.NewSeqGenerator(data.SeqSpec{
 			Classes: w.Seq.Classes, SeqLen: w.Seq.SeqLen, FeatDim: w.Seq.FeatDim, Noise: w.Noise,
-		}, master.Fork("templates"))
-		train = gen.Generate(w.TrainN, master.Fork("train"))
-		test = gen.Generate(w.TestN, master.Fork("test"))
+		}, b.master.Fork("templates"))
+		b.train = gen.Generate(w.TrainN, b.master.Fork("train"))
+		b.test = gen.Generate(w.TestN, b.master.Fork("test"))
 	default:
 		gen := data.NewImageGenerator(data.ImageSpec{
 			Classes: w.Img.Classes, Channels: w.Img.Channels, Height: w.Img.Height, Width: w.Img.Width, Noise: w.Noise,
-		}, master.Fork("templates"))
-		train = gen.Generate(w.TrainN, master.Fork("train"))
-		test = gen.Generate(w.TestN, master.Fork("test"))
+		}, b.master.Fork("templates"))
+		b.train = gen.Generate(w.TrainN, b.master.Fork("train"))
+		b.test = gen.Generate(w.TestN, b.master.Fork("test"))
 	}
+	if b.minPer < 2 {
+		b.minPer = 2
+	}
+	modelSeed := b.master.Fork("model").Uint64()
+	b.factory = func() *nn.Network {
+		return w.NewModel(rng.New(modelSeed)).Network
+	}
+	b.factory32 = func() *nn.NetworkOf[float32] {
+		return NewModelOf[float32](w, rng.New(modelSeed)).Network
+	}
+	return b
+}
 
-	minPer := w.FL.BatchSize
-	if minPer < 2 {
-		minPer = 2
-	}
-	parts := data.DirichletPartition(train.Y, numClients, w.Alpha, minPer, master.Fork("partition"))
+// Build assembles numClients clients with Dirichlet-partitioned local data,
+// per-client speed models from tcfg, and 13.7 Mbps shaped links. Everything
+// derives from seed.
+func Build(w Workload, numClients int, tcfg trace.Config, seed uint64) *Testbed {
+	b := newBase(w, seed)
+	master := b.master
+	parts := data.DirichletPartition(b.train.Y, numClients, w.Alpha, b.minPer, master.Fork("partition"))
 	speeds := trace.NewFleet(numClients, tcfg, master.Fork("speeds"))
 
 	clients := make([]*fl.Client, numClients)
 	for i := range clients {
-		shard := train.Subset(parts[i])
+		shard := b.train.Subset(parts[i])
 		clients[i] = &fl.Client{
 			ID:     i,
 			Data:   shard,
@@ -211,15 +233,7 @@ func Build(w Workload, numClients int, tcfg trace.Config, seed uint64) *Testbed 
 			Chaos:  master.Fork("chaos", i),
 		}
 	}
-
-	modelSeed := master.Fork("model").Uint64()
-	factory := func() *nn.Network {
-		return w.NewModel(rng.New(modelSeed)).Network
-	}
-	factory32 := func() *nn.NetworkOf[float32] {
-		return NewModelOf[float32](w, rng.New(modelSeed)).Network
-	}
-	return &Testbed{Workload: w, Clients: clients, Test: test, Factory: factory, Factory32: factory32, Seed: seed}
+	return &Testbed{Workload: w, Clients: clients, Test: b.test, Factory: b.factory, Factory32: b.factory32, Seed: seed}
 }
 
 // NewRunner builds an fl.Runner for the testbed with the given scheme.

@@ -132,59 +132,30 @@ type FleetTestbed struct {
 // (0 defaults to the workload batch size, the same floor Build enforces).
 // Everything derives from seed; impossible specs are errors, not panics.
 func BuildFleet(w Workload, fleetSize, perClient int, tcfg trace.Config, seed uint64) (*FleetTestbed, error) {
-	master := rng.New(seed)
-
-	var train, test *data.Dataset
-	switch w.Name {
-	case "lstm":
-		gen := data.NewSeqGenerator(data.SeqSpec{
-			Classes: w.Seq.Classes, SeqLen: w.Seq.SeqLen, FeatDim: w.Seq.FeatDim, Noise: w.Noise,
-		}, master.Fork("templates"))
-		train = gen.Generate(w.TrainN, master.Fork("train"))
-		test = gen.Generate(w.TestN, master.Fork("test"))
-	default:
-		gen := data.NewImageGenerator(data.ImageSpec{
-			Classes: w.Img.Classes, Channels: w.Img.Channels, Height: w.Img.Height, Width: w.Img.Width, Noise: w.Noise,
-		}, master.Fork("templates"))
-		train = gen.Generate(w.TrainN, master.Fork("train"))
-		test = gen.Generate(w.TestN, master.Fork("test"))
-	}
-
-	minPer := w.FL.BatchSize
-	if minPer < 2 {
-		minPer = 2
-	}
+	b := newBase(w, seed)
 	if perClient <= 0 {
-		perClient = minPer
+		perClient = b.minPer
 	}
-	part, err := data.NewLazyPartition(train.Y, data.PartitionSpec{
+	part, err := data.NewLazyPartition(b.train.Y, data.PartitionSpec{
 		Clients:      fleetSize,
 		Alpha:        w.Alpha,
 		PerClient:    perClient,
-		MinPerClient: minPer,
-	}, master.Fork("partition"))
+		MinPerClient: b.minPer,
+	}, b.master.Fork("partition"))
 	if err != nil {
 		return nil, err
 	}
 
 	fleet := &VirtualFleet{
 		part:   part,
-		train:  train,
+		train:  b.train,
 		tcfg:   tcfg,
-		master: master,
+		master: b.master,
 		batch:  w.FL.BatchSize,
 		live:   make(map[*fl.Client]*fleetSlot),
 		seen:   make(map[int]bool),
 	}
-
-	modelSeed := master.Fork("model").Uint64()
-	factory := func() *nn.Network {
-		return w.NewModel(rng.New(modelSeed)).Network
-	}
-	factory32 := func() *nn.NetworkOf[float32] {
-		return NewModelOf[float32](w, rng.New(modelSeed)).Network
-	}
-	return &FleetTestbed{Workload: w, Fleet: fleet, Test: test, Factory: factory, Factory32: factory32, Seed: seed}, nil
+	return &FleetTestbed{Workload: w, Fleet: fleet, Test: b.test, Factory: b.factory, Factory32: b.factory32, Seed: seed}, nil
 }
 
 // NewRunner builds an fl.Runner over the virtual fleet with the given scheme.

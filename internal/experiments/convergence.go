@@ -83,23 +83,8 @@ func convergenceRun(s Scale, model, scheme, variant string, seed uint64, mutate 
 			st := fedca.Stats()
 			run.Stats = &st
 		}
-		return stripDeltas(run)
+		return run
 	})
-}
-
-// stripDeltas drops the per-update parameter vectors from a finished run.
-// No figure consumes them, and they dominate the run's footprint (clients ×
-// rounds × model size), both in memory and in the on-disk cache.
-func stripDeltas(run ConvRun) ConvRun {
-	for _, r := range run.Results {
-		for i := range r.Collected {
-			r.Collected[i].Delta = nil
-		}
-		for i := range r.Discarded {
-			r.Discarded[i].Delta = nil
-		}
-	}
-	return run
 }
 
 // ConvergenceSchemes is the paper's end-to-end comparison set (Fig. 7,

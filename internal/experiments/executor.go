@@ -22,7 +22,7 @@ import (
 // every on-disk cell address; bump it whenever training arithmetic, cell key
 // layout or a cached type's shape changes, so stale entries are orphaned
 // instead of wrongly served.
-const CacheVersion = "fedca-cells-v2"
+const CacheVersion = "fedca-cells-v3"
 
 var (
 	execMu sync.RWMutex

@@ -48,7 +48,7 @@ func customRun(s Scale, model, key string, seed uint64, prep func(w *expcfg.Work
 			st := fedca.Stats()
 			run.Stats = &st
 		}
-		return stripDeltas(run)
+		return run
 	})
 }
 

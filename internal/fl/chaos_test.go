@@ -92,16 +92,24 @@ func TestChaosCorruptionQuarantined(t *testing.T) {
 	if res.Quarantined == 0 {
 		t.Fatal("corrupted updates must be counted as quarantined")
 	}
+	// Replay each quarantined client round on an identical testbed: the
+	// delta the server rejected must really be corrupted.
+	replay := expcfg.Build(w, 3, trace.Config{}, 61)
+	cfg := w.FL
+	if err := cfg.Validate(len(before)); err != nil {
+		t.Fatal(err)
+	}
 	quarantined := 0
 	for _, u := range res.Discarded {
 		if u.Quarantined {
 			quarantined++
-			if u.Delta == nil {
-				t.Fatal("quarantined update must keep its Delta (RetainUpdateDeltas on)")
+			if u.Delta != nil {
+				t.Fatal("quarantined update must hand its Delta back to the runner")
 			}
+			got := fl.RunClientRound(replay.Clients[u.ClientID], replay.Factory(), before, &cfg, fl.RoundPlan{Deadline: fl.NoDeadline()}, fl.NopController{}, 0, 0)
 			finite := true
 			norm := 0.0
-			for _, v := range u.Delta {
+			for _, v := range got.Delta {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					finite = false
 					break

@@ -14,9 +14,9 @@ import (
 )
 
 // deltaPool recycles the NumParams-sized vectors handed to the server as
-// Update.Delta. The runner returns them after the default aggregation drops
-// them (see RunRound), so steady-state rounds allocate no fresh update
-// vectors. Recycled slices carry stale data; every taker must overwrite all
+// Update.Delta. It owns every delta: the runner returns each one once the
+// fold or the Aggregator is done with it (see RunRound), so steady-state
+// rounds allocate no fresh update vectors. Recycled slices carry stale data; every taker must overwrite all
 // elements before reading any.
 type deltaPool struct{ p sync.Pool }
 

@@ -42,20 +42,23 @@ func TestWorkerCountInvariance(t *testing.T) {
 		chaos     func(t *testing.T) *chaos.Engine
 		telemetry bool
 		fleet     bool
+		safa      bool
 	}{
-		{"plain", func(*testing.T) *chaos.Engine { return nil }, false, false},
-		{"chaos", newChaos, false, false},
+		{"plain", func(*testing.T) *chaos.Engine { return nil }, false, false, false},
+		{"chaos", newChaos, false, false, false},
 		// Telemetry observes the parallel client phase from worker
 		// goroutines; the trace and metrics it gathers must not leak back
 		// into the run (see also TestTelemetryInert).
-		{"chaos+telemetry", newChaos, true, false},
+		{"chaos+telemetry", newChaos, true, false, false},
 		// Virtual fleet: lazy cohort materialization, participation
-		// sampling and the online streaming fold (AggregateFraction = 1)
-		// must all be worker-count invariant too — the fold's in-order
-		// frontier makes the floating-point sequence independent of which
-		// worker finishes first, even under chaos-injected dropouts and
-		// corruptions.
-		{"virtual-fleet+chaos", newChaos, false, true},
+		// sampling and the online fold (AggregateFraction = 1) must all be
+		// worker-count invariant too — the fold's in-order frontier makes
+		// the floating-point sequence independent of which worker finishes
+		// first, even under chaos-injected dropouts and corruptions.
+		{"virtual-fleet+chaos", newChaos, false, true, false},
+		// A custom Aggregator after a 0.5 cut: SAFA reuses the stragglers,
+		// and corrupted late updates are quarantined on arrival.
+		{"cut+safa+chaos", newChaos, false, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,6 +81,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 						t.Fatal(ferr)
 					}
 					r, err = ftb.NewRunner(baseline.FedAvg{})
+				} else if tc.safa {
+					w.FL.AggregateFraction = 0.5
+					tb := expcfg.Build(w, 6, trace.PaperConfig(), 50)
+					r, err = tb.NewRunner(baseline.NewSAFA(0.5))
 				} else {
 					tb := expcfg.Build(w, 6, trace.PaperConfig(), 50)
 					r, err = tb.NewRunner(baseline.FedAvg{})

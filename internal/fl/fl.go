@@ -20,16 +20,15 @@
 //     one client at a time per worker. All Controller methods — ModifyGrad,
 //     AfterIteration, Finalize, OnDropout — run on the worker, concurrently
 //     with other clients' controllers.
-//   - Reduce phase (parallel, deterministic): the default weighted-FedAvg
-//     reduce streams client deltas through fixed fan-in chunks, sharding the
-//     parameter vector across workers within each chunk; every element's
-//     floating-point operation order matches the serial client-major loop,
-//     so the result is bit-identical for any worker count or fan-in, and
-//     each chunk's deltas recycle as soon as its barrier passes. At full
-//     aggregation (AggregateFraction == 1) the fold instead runs online
-//     during the client phase, in participant-index order at the in-order
-//     completion frontier — still worker-count invariant — so peak delta
-//     memory is the out-of-order window, not the cohort.
+//   - Fold (deterministic): the default weighted-FedAvg mean accumulates
+//     the aggregated deltas unnormalized in participant-index order and
+//     divides once, so every element's floating-point sequence is the same
+//     at any worker count. At full aggregation (AggregateFraction == 1) the
+//     fold runs online during the client phase, at the in-order completion
+//     frontier, so peak delta memory is the out-of-order window, not the
+//     cohort; with a cut the same fold runs after the cut over its members.
+//     Workers validate each update as it arrives, and the runner owns every
+//     update's delta: none is left in a RoundResult.
 //
 // Consequences: controller-local state needs no locking (one controller's
 // hooks are sequential), but any state shared across controllers or exposed
@@ -90,16 +89,11 @@ type Config struct {
 	// evaluation stay float64 in either mode; a float32 worker adopts the
 	// rounded global model at round start (SetFlatParams) and widens its
 	// weights when the delta is recomputed, so hooks, compression, validation
-	// and the reduce see ordinary float64 vectors. Results are deterministic
+	// and the fold see ordinary float64 vectors. Results are deterministic
 	// at any worker count for both dtypes, but the two dtypes are not
 	// bit-identical to each other. "f32" requires the runner to be built with
 	// WithFloat32Workers.
 	DType string
-
-	// RetainUpdateDeltas keeps each Update's full Delta vector in the round
-	// results. Off by default: long runs over many clients would otherwise
-	// hold rounds × clients × params floats alive.
-	RetainUpdateDeltas bool
 
 	// Compressor lossily compresses every uploaded layer (eager and final),
 	// emulating the quantization/sparsification family of Sec. 2.2. Nil means
@@ -127,11 +121,10 @@ type Config struct {
 	// aborting the run.
 	MinQuorum int
 
-	// ValidateUpdates scans every collected delta before aggregation and
-	// quarantines invalid ones (any non-finite coordinate, or an L2 norm
-	// above MaxDeltaNorm when set) into the round's Discarded set, so one
-	// corrupted client cannot poison the global model. Always on when Chaos
-	// is set.
+	// ValidateUpdates scans every arrived delta and quarantines invalid ones
+	// (any non-finite coordinate, or an L2 norm above MaxDeltaNorm when set)
+	// into the round's Discarded set, so one corrupted client cannot poison
+	// the global model. Always on when Chaos is set.
 	ValidateUpdates bool
 
 	// MaxDeltaNorm, when positive, additionally quarantines finite updates
@@ -323,8 +316,11 @@ type Scheme interface {
 
 // Update is one client's round result as the server receives it.
 type Update struct {
-	ClientID   int
-	Delta      []float64 // the update the server will aggregate
+	ClientID int
+	// Delta is the update the server will aggregate. The runner's pool owns
+	// it: it is recycled once the round's aggregation ends, so every Update
+	// in a RoundResult has a nil Delta.
+	Delta      []float64
 	Weight     float64
 	Iterations int
 
@@ -357,7 +353,9 @@ type Selector interface {
 // Aggregator is an optional Scheme extension replacing the default weighted
 // FedAvg mean — e.g. SAFA-style reuse of stale straggler updates. It returns
 // the new global parameter vector. collected updates carry their Delta;
-// discarded updates carry Delta only when not dropped.
+// discarded updates carry Delta unless dropped or quarantined. The deltas
+// belong to the runner and are valid only during the call: the runner
+// recycles them afterwards, so an Aggregator that keeps one must copy it.
 type Aggregator interface {
 	Aggregate(round int, flat []float64, collected, discarded []Update) []float64
 }

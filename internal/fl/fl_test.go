@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"fedca/internal/baseline"
+	"fedca/internal/chaos"
 	"fedca/internal/compress"
+	"fedca/internal/core"
 	"fedca/internal/data"
 	"fedca/internal/expcfg"
 	"fedca/internal/fl"
@@ -23,22 +25,71 @@ func tinyWorkload() expcfg.Workload {
 	w.Img.Classes = 4
 	w.FL.BaseIterTime = 0.1
 	w.FL.ModelBytes = 0 // derive from params
-	w.FL.RetainUpdateDeltas = true
 	return w.Shrink(8, 256, 128, 16)
 }
 
-func TestDeltasDroppedByDefault(t *testing.T) {
-	w := tinyWorkload()
-	w.FL.RetainUpdateDeltas = false
-	tb := expcfg.Build(w, 2, trace.Config{}, 99)
-	r, err := tb.NewRunner(baseline.FedAvg{})
-	if err != nil {
-		t.Fatal(err)
+// deltaRecorder wraps a scheme with a test Aggregator that copies every
+// collected delta by client id — the runner recycles deltas after the call,
+// so an Aggregator that keeps one must copy it — and leaves the global model
+// unchanged.
+type deltaRecorder struct {
+	fl.Scheme
+	deltas map[int][]float64
+}
+
+func recordDeltas(s fl.Scheme) *deltaRecorder {
+	return &deltaRecorder{Scheme: s, deltas: make(map[int][]float64)}
+}
+
+func (d *deltaRecorder) Aggregate(_ int, flat []float64, collected, _ []fl.Update) []float64 {
+	for _, u := range collected {
+		d.deltas[u.ClientID] = append([]float64(nil), u.Delta...)
 	}
-	res := r.RunRound()
-	for _, u := range res.Collected {
-		if u.Delta != nil {
-			t.Fatal("Delta must be dropped unless RetainUpdateDeltas is set")
+	return flat
+}
+
+// TestRoundResultsCarryNoDeltas: the runner owns every update delta, so no
+// Update in any RoundResult holds one — on the online fold, after a cut,
+// through a custom Aggregator (SAFA) and a Selector (Oort), with and without
+// chaos faults.
+func TestRoundResultsCarryNoDeltas(t *testing.T) {
+	schemes := map[string]func(w expcfg.Workload) fl.Scheme{
+		"fedavg": func(expcfg.Workload) fl.Scheme { return baseline.FedAvg{} },
+		"fedca": func(w expcfg.Workload) fl.Scheme {
+			return core.NewScheme(core.DefaultOptions(w.FL.LocalIters), rng.New(1))
+		},
+		"safa": func(expcfg.Workload) fl.Scheme { return baseline.NewSAFA(0.5) },
+		"oort": func(w expcfg.Workload) fl.Scheme { return baseline.NewOort(w.FL.LocalIters, 0.5, rng.New(2)) },
+	}
+	for name, build := range schemes {
+		for _, withChaos := range []bool{false, true} {
+			for _, frac := range []float64{0.5, 1} {
+				w := tinyWorkload()
+				w.FL.AggregateFraction = frac
+				if withChaos {
+					e, err := chaos.NewEngine(chaos.Config{DropProb: 0.3, CorruptProb: 0.4}, 9)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w.FL.Chaos = e
+				}
+				tb := expcfg.Build(w, 6, trace.Config{HeterogeneitySigma: 1}, 99)
+				r, err := tb.NewRunner(build(w))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round := 0; round < 2; round++ {
+					res := r.RunRound()
+					for _, us := range [][]fl.Update{res.Collected, res.Discarded} {
+						for _, u := range us {
+							if u.Delta != nil {
+								t.Fatalf("%s chaos=%v fraction=%v round %d: client %d keeps its Delta",
+									name, withChaos, frac, round, u.ClientID)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -160,19 +211,48 @@ func TestAggregationIsWeightedMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := r.RunRound()
-	u := res.Collected[0]
-	// Reconstruct: global_after = global_before + delta.
-	rc, err := tbCopy.NewRunner(baseline.FedAvg{})
-	if err != nil {
+	r.RunRound()
+	// Reconstruct: global_after = global_before + delta, with the delta
+	// replayed through the exported client round on an identical testbed.
+	net := tbCopy.Factory()
+	cfg := tbCopy.Workload.FL
+	if err := cfg.Validate(net.NumParams()); err != nil {
 		t.Fatal(err)
 	}
-	before := rc.GlobalFlat()
+	before := net.FlatParams()
+	u := fl.RunClientRound(tbCopy.Clients[0], net, before, &cfg, fl.RoundPlan{Deadline: fl.NoDeadline()}, fl.NopController{}, 0, 0)
 	after := r.GlobalFlat()
 	for i := range before {
 		want := before[i] + u.Delta[i]
 		if math.Abs(after[i]-want) > 1e-12 {
 			t.Fatalf("param %d: got %v, want %v", i, after[i], want)
+		}
+	}
+}
+
+// TestCutCollectingEveryoneMatchesFullAggregation: a cut that still collects
+// every update aggregates the same set as AggregateFraction 1, so the one
+// fold must give the same bits whether it runs after the cut or online.
+func TestCutCollectingEveryoneMatchesFullAggregation(t *testing.T) {
+	run := func(frac float64) []float64 {
+		w := tinyWorkload()
+		w.FL.AggregateFraction = frac
+		tb := expcfg.Build(w, 6, trace.PaperConfig(), 50)
+		r, err := tb.NewRunner(baseline.FedAvg{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if res := r.RunRound(); len(res.Collected) != 6 {
+				t.Fatalf("fraction %v round %d collected %d of 6", frac, i, len(res.Collected))
+			}
+		}
+		return r.GlobalFlat()
+	}
+	cut, full := run(0.9999), run(1)
+	for i := range cut {
+		if cut[i] != full[i] {
+			t.Fatalf("param %d: %v after the cut, %v online", i, cut[i], full[i])
 		}
 	}
 }
@@ -389,22 +469,27 @@ func TestRetransmissionRestoresFinalValues(t *testing.T) {
 	// FedAvg delta (same seed, same trajectory).
 	tbA := tinyTestbed(t, 2, trace.Config{}, 13)
 	tbB := tinyTestbed(t, 2, trace.Config{}, 13)
-	ra, err := tbA.NewRunner(eagerScheme{retransmit: true})
+	recA, recB := recordDeltas(eagerScheme{retransmit: true}), recordDeltas(baseline.FedAvg{})
+	ra, err := tbA.NewRunner(recA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := tbB.NewRunner(baseline.FedAvg{})
+	rb, err := tbB.NewRunner(recB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ua := ra.RunRound().Collected
-	ub := rb.RunRound().Collected
-	for i := range ua {
-		if ua[i].Retransmitted != 1 {
-			t.Fatalf("retransmitted = %d", ua[i].Retransmitted)
+	rb.RunRound()
+	for _, u := range ua {
+		if u.Retransmitted != 1 {
+			t.Fatalf("retransmitted = %d", u.Retransmitted)
 		}
-		for j := range ua[i].Delta {
-			if ua[i].Delta[j] != ub[i].Delta[j] {
+		da, db := recA.deltas[u.ClientID], recB.deltas[u.ClientID]
+		if len(da) == 0 || len(da) != len(db) {
+			t.Fatalf("client %d: recorded deltas of length %d and %d", u.ClientID, len(da), len(db))
+		}
+		for j := range da {
+			if da[j] != db[j] {
 				t.Fatalf("retransmitted delta differs from FedAvg at %d", j)
 			}
 		}
@@ -414,16 +499,18 @@ func TestRetransmissionRestoresFinalValues(t *testing.T) {
 func TestEagerWithoutRetransmissionDiffersOnLayer0(t *testing.T) {
 	tbA := tinyTestbed(t, 1, trace.Config{}, 14)
 	tbB := tinyTestbed(t, 1, trace.Config{}, 14)
-	ra, _ := tbA.NewRunner(eagerScheme{retransmit: false})
-	rb, _ := tbB.NewRunner(baseline.FedAvg{})
-	ua := ra.RunRound().Collected[0]
-	ub := rb.RunRound().Collected[0]
+	recA, recB := recordDeltas(eagerScheme{retransmit: false}), recordDeltas(baseline.FedAvg{})
+	ra, _ := tbA.NewRunner(recA)
+	rb, _ := tbB.NewRunner(recB)
+	ra.RunRound()
+	rb.RunRound()
+	da, db := recA.deltas[0], recB.deltas[0]
 	// Layer 0 (conv1.weight) must hold the stale iteration-2 snapshot.
 	net := tbA.Factory()
 	rg := net.ParamRanges()[0]
 	differs := false
 	for j := rg.Start; j < rg.End; j++ {
-		if ua.Delta[j] != ub.Delta[j] {
+		if da[j] != db[j] {
 			differs = true
 			break
 		}
@@ -432,8 +519,8 @@ func TestEagerWithoutRetransmissionDiffersOnLayer0(t *testing.T) {
 		t.Fatal("stale eager layer should differ from the final update")
 	}
 	// All other layers must match exactly.
-	for j := rg.End; j < len(ua.Delta); j++ {
-		if ua.Delta[j] != ub.Delta[j] {
+	for j := rg.End; j < len(da); j++ {
+		if da[j] != db[j] {
 			t.Fatalf("non-eager region differs at %d", j)
 		}
 	}
@@ -648,25 +735,26 @@ func TestCompressionDegradesDeltaButPreservesDirection(t *testing.T) {
 	w := tinyWorkload()
 	tbA := expcfg.Build(w, 1, trace.Config{}, 42)
 	tbB := expcfg.Build(w, 1, trace.Config{}, 42)
-	ra, _ := tbA.NewRunner(baseline.FedAvg{})
+	recA, recB := recordDeltas(baseline.FedAvg{}), recordDeltas(baseline.FedAvg{})
+	ra, _ := tbA.NewRunner(recA)
 	wq := w
 	wq.FL.Compressor = compress.QSGD{Levels: 7}
-	tbB.Workload = wq
-	rb, err := fl.NewRunner(wq.FL, tbB.Clients, baseline.FedAvg{}, tbB.Test, tbB.Factory)
+	rb, err := fl.NewRunner(wq.FL, tbB.Clients, recB, tbB.Test, tbB.Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ua := ra.RunRound().Collected[0]
-	ub := rb.RunRound().Collected[0]
+	ra.RunRound()
+	rb.RunRound()
+	da, db := recA.deltas[0], recB.deltas[0]
 	// Same trajectory, so the quantized delta must correlate strongly with
 	// the full-precision one without being identical.
-	cos := cosine(ua.Delta, ub.Delta)
+	cos := cosine(da, db)
 	if cos < 0.95 {
 		t.Fatalf("quantized delta cosine = %v", cos)
 	}
 	same := true
-	for i := range ua.Delta {
-		if ua.Delta[i] != ub.Delta[i] {
+	for i := range da {
+		if da[i] != db[i] {
 			same = false
 			break
 		}

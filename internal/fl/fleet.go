@@ -101,9 +101,9 @@ func (f *StaticFleet) Recycle(*Client) {}
 
 // SampleOrdinals draws k distinct ordinals from [0, n) in O(k) memory and
 // time using Floyd's algorithm, appends them to dst and returns it sorted
-// ascending — so cohort materialization order, and with it the streaming
-// reduce's fold order, is deterministic. seen is the sampler's scratch set,
-// cleared on entry; pass the same map across rounds to avoid reallocating.
+// ascending — so cohort materialization order, and with it the fold order,
+// is deterministic. seen is the sampler's scratch set, cleared on entry;
+// pass the same map across rounds to avoid reallocating.
 // rng.Sample is O(n) (it permutes the whole range), which a million-client
 // fleet cannot afford per round.
 func SampleOrdinals(r *rng.RNG, n, k int, dst []int, seen map[int]bool) []int {

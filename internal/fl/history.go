@@ -9,7 +9,8 @@ import (
 // History is the server's knowledge about client behaviour, learned from the
 // updates it actually received (the server never sees intra-round state —
 // that is the whole point of the paper). Per-iteration wall times feed the
-// FedBalancer-style deadline and FedAda's workload planning.
+// FedBalancer-style deadline and FedAda's workload planning; the last
+// reported training losses feed Oort's statistical utility.
 //
 // History is safe for concurrent use. The synchronous round loop writes it
 // serially, but overlapping callers — asynchronous runners folding arrivals
@@ -19,23 +20,26 @@ type History struct {
 	mu sync.RWMutex
 	// ewma of per-iteration local compute seconds, keyed by client id.
 	iterTime map[int]float64
+	// loss is each client's most recent reported mean training loss.
+	loss map[int]float64
 	// alpha is the EWMA smoothing weight of the newest observation.
 	alpha float64
 }
 
 // NewHistory creates an empty history with EWMA weight 0.5.
 func NewHistory() *History {
-	return &History{iterTime: make(map[int]float64), alpha: 0.5}
+	return &History{iterTime: make(map[int]float64), loss: make(map[int]float64), alpha: 0.5}
 }
 
 // Observe folds a received update into the history.
 func (h *History) Observe(u Update) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.loss[u.ClientID] = u.TrainLoss
 	if u.Iterations <= 0 || u.TrainTime <= 0 {
 		return
 	}
 	t := u.TrainTime / float64(u.Iterations)
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if old, ok := h.iterTime[u.ClientID]; ok {
 		h.iterTime[u.ClientID] = h.alpha*t + (1-h.alpha)*old
 	} else {
@@ -50,6 +54,15 @@ func (h *History) EstIterTime(clientID int) (float64, bool) {
 	defer h.mu.RUnlock()
 	t, ok := h.iterTime[clientID]
 	return t, ok
+}
+
+// LastLoss returns the client's most recent reported training loss and
+// whether one was observed.
+func (h *History) LastLoss(clientID int) (float64, bool) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	l, ok := h.loss[clientID]
+	return l, ok
 }
 
 // Known returns how many clients have estimates.

@@ -4,207 +4,98 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"fedca/internal/cputok"
 )
 
-func randomUpdates(r *rand.Rand, clients, n int) ([]Update, float64) {
+func randomUpdates(r *rand.Rand, clients, n int) []Update {
 	ups := make([]Update, clients)
-	var totalW float64
 	for i := range ups {
 		d := make([]float64, n)
 		for j := range d {
 			d[j] = r.NormFloat64()
 		}
-		w := 1 + 9*r.Float64()
-		ups[i] = Update{ClientID: i, Delta: d, Weight: w}
-		totalW += w
+		ups[i] = Update{ClientID: i, Delta: d, Weight: 1 + 9*r.Float64()}
 	}
-	return ups, totalW
+	return ups
 }
 
-// serialReduce is the pre-sharding reference reduce, kept verbatim as the
-// bit-exactness oracle for weightedReduce.
-func serialReduce(flat []float64, collected []Update, totalW float64) {
+// serialFold is the fold's oracle: a serial, unnormalized, participant-order
+// loop over the updates that carry a delta and lie inside the cut (in nil =
+// no cut), divided once at the end.
+func serialFold(flat []float64, ups []Update, in []bool) {
 	agg := make([]float64, len(flat))
-	for _, u := range collected {
-		w := u.Weight / totalW
-		for j, v := range u.Delta {
-			agg[j] += w * v
+	var totalW float64
+	for i, u := range ups {
+		if u.Delta == nil || (in != nil && !in[i]) {
+			continue
 		}
+		for j, v := range u.Delta {
+			agg[j] += u.Weight * v
+		}
+		totalW += u.Weight
 	}
 	for j := range flat {
-		flat[j] += agg[j]
-	}
-}
-
-// shardedReduce is the pre-streaming flat sharded reduce (PR 1), kept
-// verbatim as a second oracle: the streaming tree must match not only the
-// serial loop but the implementation whose outputs the goldens pinned.
-func shardedReduce(flat, agg []float64, collected []Update, totalW float64, workers int) {
-	n := len(flat)
-	if workers > n/minReduceShard {
-		workers = n / minReduceShard
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	reduceShards(n, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			agg[j] = 0
-		}
-		for _, u := range collected {
-			w := u.Weight / totalW
-			d := u.Delta
-			for j := lo; j < hi; j++ {
-				agg[j] += w * d[j]
-			}
-		}
-		for j := lo; j < hi; j++ {
-			flat[j] += agg[j]
-		}
-	})
-}
-
-// TestWeightedReduceDeterministic: the streaming chunked reduce must produce
-// globals bit-identical to the serial loop AND to the old flat sharded
-// reduce, for every worker count, fan-in and cohort size — including
-// parameter counts that do and don't clear the minReduceShard gate, shard
-// boundaries that don't divide evenly, and cohorts smaller than, equal to
-// and much larger than the fan-in.
-func TestWeightedReduceDeterministic(t *testing.T) {
-	// Raise the shared token budget above this box's core count so the
-	// parallel shard paths are actually exercised even on a 1-CPU runner;
-	// determinism must hold at every borrowed-worker count anyway.
-	cputok.Default().SetCap(16)
-	defer cputok.Default().SetCap(0)
-	r := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 7, minReduceShard, 10 * minReduceShard} {
-		for _, clients := range []int{1, 3, 9, 40} {
-			ups, totalW := randomUpdates(r, clients, n)
-			base := make([]float64, n)
-			for j := range base {
-				base[j] = r.NormFloat64()
-			}
-			want := append([]float64(nil), base...)
-			serialReduce(want, ups, totalW)
-			check := func(label string, got []float64) {
-				t.Helper()
-				for j := range got {
-					if got[j] != want[j] {
-						t.Fatalf("n=%d clients=%d %s: flat[%d] = %v, serial %v",
-							n, clients, label, j, got[j], want[j])
-					}
-				}
-			}
-			for _, workers := range []int{1, 2, 4, 13} {
-				got := append([]float64(nil), base...)
-				agg := make([]float64, n)
-				shardedReduce(got, agg, ups, totalW, workers)
-				check(fmt.Sprintf("sharded workers=%d", workers), got)
-
-				got = append([]float64(nil), base...)
-				weightedReduce(got, agg, ups, totalW, workers, nil)
-				check(fmt.Sprintf("stream workers=%d", workers), got)
-
-				for _, fanIn := range []int{1, 2, 8, 1000} {
-					got = append([]float64(nil), base...)
-					streamReduce(got, agg, ups, totalW, workers, fanIn, nil)
-					check(fmt.Sprintf("stream workers=%d fanIn=%d", workers, fanIn), got)
-				}
-			}
-		}
-	}
-}
-
-// TestStreamReduceRecycles: the recycle callback must receive every
-// collected delta exactly once, as its chunk completes.
-func TestStreamReduceRecycles(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	const n, clients = 64, 11
-	ups, totalW := randomUpdates(r, clients, n)
-	flat := make([]float64, n)
-	agg := make([]float64, n)
-	seen := make(map[*float64]int)
-	streamReduce(flat, agg, ups, totalW, 4, 3, func(d []float64) {
-		seen[&d[0]]++
-	})
-	if len(seen) != clients {
-		t.Fatalf("recycled %d distinct deltas, want %d", len(seen), clients)
-	}
-	for _, u := range ups {
-		if seen[&u.Delta[0]] != 1 {
-			t.Fatalf("client %d delta recycled %d times", u.ClientID, seen[&u.Delta[0]])
-		}
+		flat[j] += agg[j] / totalW
 	}
 }
 
 // TestOnlineFoldMatchesAnyCompletionOrder: folding updates at the in-order
-// frontier must yield the same accumulator, weight total and quarantine
-// verdicts no matter which order completions arrive in — the property that
-// makes the online path worker-count invariant.
+// frontier must match the serial oracle bit for bit no matter which order
+// completions arrive in — the property that makes the online path
+// worker-count invariant — with and without a cut mask, skipping updates
+// without a delta (dropped or quarantined), and handing every folded delta
+// back to the pool while leaving the rest with their owner.
 func TestOnlineFoldMatchesAnyCompletionOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	const n, clients = 32, 7
-	build := func() []Update {
-		ups, _ := randomUpdates(r, clients, n)
-		return ups
+	ref := randomUpdates(r, clients, n)
+	ref[4].Delta = nil // dropped or quarantined on arrival
+	base := make([]float64, n)
+	for j := range base {
+		base[j] = r.NormFloat64()
 	}
-	ref := build()
+	masks := map[string][]bool{
+		"no-cut": nil,
+		"cut":    {true, false, true, true, true, false, true},
+	}
 	orders := [][]int{
 		{0, 1, 2, 3, 4, 5, 6},
 		{6, 5, 4, 3, 2, 1, 0},
 		{3, 0, 6, 1, 5, 2, 4},
 	}
-	var wantAgg []float64
-	var wantW float64
-	for oi, order := range orders {
-		ups := make([]Update, clients)
-		for i := range ups {
-			ups[i] = ref[i]
-			ups[i].Delta = append([]float64(nil), ref[i].Delta...)
-		}
-		f := &onlineFold{
-			agg:     make([]float64, n),
-			updates: ups,
-			done:    make([]bool, clients),
-			pool:    &deltaPool{},
-		}
-		for _, i := range order {
-			f.complete(i)
-		}
-		if f.next != clients {
-			t.Fatalf("order %d: fold frontier stopped at %d/%d", oi, f.next, clients)
-		}
-		if oi == 0 {
-			wantAgg = append([]float64(nil), f.agg...)
-			wantW = f.totalW
-			continue
-		}
-		if f.totalW != wantW {
-			t.Fatalf("order %d: totalW %v != %v", oi, f.totalW, wantW)
-		}
-		for j := range f.agg {
-			if f.agg[j] != wantAgg[j] {
-				t.Fatalf("order %d: agg[%d] = %v, want %v", oi, j, f.agg[j], wantAgg[j])
+	for name, in := range masks {
+		want := append([]float64(nil), base...)
+		serialFold(want, ref, in)
+		for oi, order := range orders {
+			label := fmt.Sprintf("%s order %d", name, oi)
+			ups := make([]Update, clients)
+			for i := range ups {
+				ups[i] = ref[i]
+				if ref[i].Delta != nil {
+					ups[i].Delta = append([]float64(nil), ref[i].Delta...)
+				}
+			}
+			f := fold{pool: &deltaPool{}}
+			f.reset(ups, n)
+			f.in = in
+			for _, i := range order {
+				f.complete(i)
+			}
+			if f.next != clients {
+				t.Fatalf("%s: fold frontier stopped at %d/%d", label, f.next, clients)
+			}
+			got := append([]float64(nil), base...)
+			f.apply(got)
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("%s: flat[%d] = %v, oracle %v", label, j, got[j], want[j])
+				}
+			}
+			for i, u := range ups {
+				folded := ref[i].Delta != nil && (in == nil || in[i])
+				if folded != (u.Delta == nil && ref[i].Delta != nil) {
+					t.Fatalf("%s: update %d folded=%v but Delta nil=%v", label, i, folded, u.Delta == nil)
+				}
 			}
 		}
-	}
-}
-
-// BenchmarkWeightedReduce measures the aggregation hot path at a CNN-scale
-// parameter count across worker counts (workers=1 is the old serial loop).
-func BenchmarkWeightedReduce(b *testing.B) {
-	const n, clients = 1 << 18, 16
-	r := rand.New(rand.NewSource(2))
-	ups, totalW := randomUpdates(r, clients, n)
-	flat := make([]float64, n)
-	agg := make([]float64, n)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				weightedReduce(flat, agg, ups, totalW, workers, nil)
-			}
-		})
 	}
 }

@@ -61,22 +61,22 @@ type Runner struct {
 	flat    []float64
 	workers []trainWorker   // dtype-erased training slots (see Config.DType)
 	bufs    []*RoundBuffers // per-worker scratch, index-aligned with workers
-	pool    *deltaPool      // recycles Update.Delta vectors across rounds
-	aggBuf  []float64       // reusable accumulator of the weighted reduce
+	pool    *deltaPool      // owns every Update.Delta (see RunRound)
+	fold    fold            // the one aggregation path, reused across rounds
 	round   int
 	now     float64
 
-	// Reused per-round cohort buffers: ids, the materialized cohort slice
-	// (what used to be a fresh `chosen` allocation every selector round),
-	// controllers, raw updates and the fold bookkeeping all recycle with the
-	// round buffers, so steady-state rounds allocate no cohort-sized slices.
+	// Reused per-round cohort buffers: ids, the materialized cohort slice,
+	// controllers, raw updates, the completion order and the cut mask all
+	// recycle across rounds, so steady-state rounds allocate no cohort-sized
+	// slices.
 	cohortIDs []int
 	cohort    []*Client
 	ctrls     []Controller
 	updates   []Update
 	order     []int
+	inCut     []bool
 	seen      map[int]bool
-	foldDone  []bool
 
 	// statsMu guards stats: the round loop updates it serially, but monitors
 	// may poll Stats from other goroutines while a round runs.
@@ -192,6 +192,7 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 		workers: workers,
 		bufs:    bufs,
 		pool:    pool,
+		fold:    fold{pool: pool},
 		seen:    make(map[int]bool),
 	}, nil
 }
@@ -333,38 +334,20 @@ func (r *Runner) RunRound() RoundResult {
 	}
 	updates := r.updates[:len(participants)]
 
-	// Online streaming fold: when every non-dropped update is aggregated
-	// (AggregateFraction == 1) on the default path, completed updates fold
-	// into the accumulator while the client phase still runs and their
-	// deltas recycle immediately — peak delta memory is the out-of-order
-	// completion window, not the cohort. With a partial-aggregation cut the
-	// collected set depends on every virtual completion time, so the fold
-	// must wait for the cut and streams through weightedReduce instead.
-	_, customAgg := r.Scheme.(Aggregator)
-	var fold *onlineFold
-	if r.Cfg.AggregateFraction >= 1 && !customAgg && !r.Cfg.RetainUpdateDeltas {
-		if len(r.aggBuf) != len(r.flat) {
-			r.aggBuf = make([]float64, len(r.flat))
-		}
-		if cap(r.foldDone) < len(participants) {
-			r.foldDone = make([]bool, len(participants))
-		}
-		done := r.foldDone[:len(participants)]
-		for i := range done {
-			done[i] = false
-		}
-		fold = &onlineFold{
-			agg:      r.aggBuf,
-			updates:  updates,
-			done:     done,
-			validate: r.Cfg.ValidateUpdates || r.Cfg.Chaos != nil,
-			maxNorm:  r.Cfg.MaxDeltaNorm,
-			pool:     r.pool,
-		}
-		for j := range fold.agg {
-			fold.agg[j] = 0
-		}
-	}
+	// Delta ownership: the runner's pool owns every Update.Delta. A delta
+	// leaves the pool in the client round and goes back at the latest in the
+	// cleanup below; in between only the fold or the scheme's Aggregator
+	// (during its call) reads it. At full aggregation (AggregateFraction 1)
+	// with the default fold, every arrived update is aggregated, so the fold
+	// runs online at the in-order completion frontier while the client phase
+	// still runs: peak delta memory is the out-of-order window, not the
+	// cohort. With a cut the collected set depends on every completion time,
+	// so the same fold runs after the cut instead.
+	agg, customAgg := r.Scheme.(Aggregator)
+	online := r.Cfg.AggregateFraction >= 1 && !customAgg
+	validate := r.Cfg.ValidateUpdates || r.Cfg.Chaos != nil
+	f := &r.fold
+	f.reset(updates, len(r.flat))
 
 	maxWorkers := len(r.workers)
 	if maxWorkers > len(participants) {
@@ -382,9 +365,20 @@ func (r *Runner) RunRound() RoundResult {
 			if i >= len(participants) {
 				return
 			}
-			updates[i] = w.run(participants[i], r.flat, &r.Cfg, plan, ctrls[i], r.round, start, bufs, anchor)
-			if fold != nil {
-				fold.complete(i)
+			u := w.run(participants[i], r.flat, &r.Cfg, plan, ctrls[i], r.round, start, bufs, anchor)
+			// Validation on arrival quarantines deltas no sane server would
+			// aggregate — any non-finite coordinate, or (when bounded) an
+			// exploded norm — whether or not the update makes the cut, so a
+			// late corrupted update cannot reach a scheme that reuses
+			// stragglers either.
+			if validate && !u.Dropped && !deltaValid(u.Delta, r.Cfg.MaxDeltaNorm) {
+				u.Quarantined = true
+				r.pool.put(u.Delta)
+				u.Delta = nil
+			}
+			updates[i] = u
+			if online {
+				f.complete(i)
 			}
 		}
 	}
@@ -403,8 +397,10 @@ func (r *Runner) RunRound() RoundResult {
 	// Partial aggregation: earliest AggregateFraction of updates.
 	if cap(r.order) < len(updates) {
 		r.order = make([]int, len(updates))
+		r.inCut = make([]bool, len(updates))
 	}
 	order := r.order[:len(updates)]
+	inCut := r.inCut[:len(updates)]
 	for i := range order {
 		order[i] = i
 	}
@@ -424,7 +420,8 @@ func (r *Runner) RunRound() RoundResult {
 	for i, oi := range order {
 		// Dropped clients sort last (CompletionTime = +Inf) and are never
 		// aggregated even when the survivor count falls short of the target.
-		if i < take && !updates[oi].Dropped {
+		inCut[oi] = i < take && !updates[oi].Dropped
+		if inCut[oi] {
 			collected = append(collected, updates[oi])
 		} else {
 			discarded = append(discarded, updates[oi])
@@ -445,36 +442,22 @@ func (r *Runner) RunRound() RoundResult {
 		}
 	}
 
-	// Update validation: quarantine deltas no sane server would aggregate —
-	// any non-finite coordinate, or (when bounded) an exploded norm. The
-	// quarantined update stays visible in Discarded. On the online-fold path
-	// validation already ran at fold time (identically: the fold checks the
-	// same predicate in the same participant order); here the marked updates
-	// only move from collected to discarded.
+	// Quarantined members of the collected set move to Discarded, where they
+	// stay visible next to the late quarantined updates.
+	valid := collected[:0]
+	for _, u := range collected {
+		if u.Quarantined {
+			discarded = append(discarded, u)
+		} else {
+			valid = append(valid, u)
+		}
+	}
+	collected = valid
 	quarantined := 0
-	if fold != nil {
-		valid := collected[:0]
-		for _, u := range collected {
-			if u.Quarantined {
-				discarded = append(discarded, u)
-				quarantined++
-			} else {
-				valid = append(valid, u)
-			}
+	for _, u := range updates {
+		if u.Quarantined {
+			quarantined++
 		}
-		collected = valid
-	} else if r.Cfg.ValidateUpdates || r.Cfg.Chaos != nil {
-		valid := collected[:0]
-		for _, u := range collected {
-			if deltaValid(u.Delta, r.Cfg.MaxDeltaNorm) {
-				valid = append(valid, u)
-			} else {
-				u.Quarantined = true
-				discarded = append(discarded, u)
-				quarantined++
-			}
-		}
-		collected = valid
 	}
 
 	// Graceful degradation: a round with fewer valid survivors than the
@@ -485,64 +468,40 @@ func (r *Runner) RunRound() RoundResult {
 		quorum = 1
 	}
 	skipped := len(collected) < quorum
-
-	// deltasRecycled marks collected deltas that already went back to the
-	// pool — by the online fold, or by weightedReduce's per-chunk recycling —
-	// so the cleanup loop below must not pool them a second time. (Their
-	// Update.Delta fields are already nil on the fold path; weightedReduce
-	// recycles via callback while the Update still points at the buffer.)
-	deltasRecycled := fold != nil
 	if !skipped {
 		// Aggregation: schemes implementing Aggregator replace the default
 		// weighted FedAvg mean (e.g. SAFA-style stale-update reuse).
-		if agg, ok := r.Scheme.(Aggregator); ok {
+		if customAgg {
 			r.flat = agg.Aggregate(r.round, r.flat, collected, discarded)
 			if len(r.flat) != r.global.NumParams() {
 				panic("fl: aggregator returned a wrong-sized parameter vector")
 			}
-		} else if fold != nil {
-			applyFold(r.flat, fold.agg, fold.totalW, len(r.workers))
 		} else {
-			var totalW float64
-			for _, u := range collected {
-				totalW += u.Weight
+			if !online {
+				f.in = inCut
+				for i := range updates {
+					f.complete(i)
+				}
 			}
-			if len(r.aggBuf) != len(r.flat) {
-				r.aggBuf = make([]float64, len(r.flat))
-			}
-			var recycle func([]float64)
-			if !r.Cfg.RetainUpdateDeltas {
-				recycle = r.pool.put
-				deltasRecycled = true
-			}
-			weightedReduce(r.flat, r.aggBuf, collected, totalW, len(r.workers), recycle)
+			f.apply(r.flat)
 		}
 		r.global.SetFlatParams(r.flat)
 	}
 
-	// Timing estimates stay fresh even on skipped rounds: the survivors'
-	// updates really arrived. Quarantined updates are distrusted entirely.
-	for _, u := range collected {
-		r.Hist.Observe(u)
+	// Every delta the fold has not recycled goes back to the pool now, and
+	// no Update leaves the round holding one.
+	for i := range updates {
+		r.pool.put(updates[i].Delta)
+		updates[i].Delta = nil
 	}
-	if !r.Cfg.RetainUpdateDeltas {
-		// The deltas are dead now; recycle them into the worker pool — but
-		// only on the default-aggregation path: a custom Aggregator may have
-		// retained references (SAFA caches stragglers), and clobbering those
-		// through the pool would corrupt it silently. Skipped rounds never
-		// entered the reduce, so their collected deltas are pooled here.
-		for i := range collected {
-			if !customAgg && !deltasRecycled {
-				r.pool.put(collected[i].Delta)
-			}
-			collected[i].Delta = nil
-		}
-		for i := range discarded {
-			if !customAgg {
-				r.pool.put(discarded[i].Delta)
-			}
-			discarded[i].Delta = nil
-		}
+	for i := range collected {
+		collected[i].Delta = nil
+		// Timing estimates stay fresh even on skipped rounds: the survivors'
+		// updates really arrived. Quarantined updates are distrusted entirely.
+		r.Hist.Observe(collected[i])
+	}
+	for i := range discarded {
+		discarded[i].Delta = nil
 	}
 
 	res := RoundResult{
@@ -661,169 +620,57 @@ func (r *Runner) RunUntil(target float64, maxRounds int) []RoundResult {
 	return out
 }
 
-// minReduceShard is the smallest per-goroutine parameter count worth a
-// goroutine in the weighted reduce; smaller models reduce serially.
-const minReduceShard = 2048
-
-// reduceFanIn is the streaming reduce's chunk width: how many client deltas
-// stay live between recycle points. Any value yields the same bits (see
-// weightedReduce); 8 keeps the live set tiny while amortizing the per-chunk
-// goroutine barrier.
-const reduceFanIn = 8
-
-// borrowReduceWorkers clamps workers by shard size and the shared CPU-token
-// budget; the caller must Return(workers-1) when done. Never below 1 (the
-// calling goroutine).
-func borrowReduceWorkers(n, workers int) int {
-	if workers > n/minReduceShard {
-		workers = n / minReduceShard
-	}
-	if workers > 1 {
-		workers = 1 + cputok.Default().Borrow(workers-1)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// reduceShards runs f over a disjoint cover of [0, n): the calling goroutine
-// takes the first shard, workers-1 spawned goroutines the rest. Barrier: all
-// shards complete before return.
-func reduceShards(n, workers int, f func(lo, hi int)) {
-	if workers <= 1 {
-		f(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(w*n/workers, (w+1)*n/workers)
-	}
-	f(0, n/workers)
-	wg.Wait()
-}
-
-// weightedReduce adds the weight-normalized (by totalW) mean of the
-// collected deltas to flat, streaming the client dimension through fixed
-// fan-in chunks and fanning the parameter dimension of each chunk out over
-// at most workers goroutines (borrowed from the shared CPU-token budget, so
-// a spent budget degrades to the serial loop). After a chunk's barrier its
-// deltas are dead; when recycle is non-nil each is handed back immediately,
-// bounding the reduce's live delta set to fan-in buffers instead of the
-// whole cohort.
-//
-// Determinism: each shard owns a disjoint index range and accumulates
-// clients in slice order; chunking only inserts barriers into that order
-// without reordering it, so every element sees exactly the floating-point
-// sequence of the serial client-major loop — the result is bit-identical
-// for any worker count and any fan-in (TestWeightedReduceDeterministic).
-func weightedReduce(flat, agg []float64, collected []Update, totalW float64, workers int, recycle func([]float64)) {
-	streamReduce(flat, agg, collected, totalW, workers, reduceFanIn, recycle)
-}
-
-// streamReduce is weightedReduce with an explicit fan-in (test seam).
-func streamReduce(flat, agg []float64, collected []Update, totalW float64, workers, fanIn int, recycle func([]float64)) {
-	n := len(flat)
-	if fanIn < 1 {
-		fanIn = 1
-	}
-	workers = borrowReduceWorkers(n, workers)
-	defer cputok.Default().Return(workers - 1)
-	reduceShards(n, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			agg[j] = 0
-		}
-	})
-	for s := 0; s < len(collected); s += fanIn {
-		e := s + fanIn
-		if e > len(collected) {
-			e = len(collected)
-		}
-		chunk := collected[s:e]
-		reduceShards(n, workers, func(lo, hi int) {
-			for _, u := range chunk {
-				w := u.Weight / totalW
-				d := u.Delta
-				for j := lo; j < hi; j++ {
-					agg[j] += w * d[j]
-				}
-			}
-		})
-		if recycle != nil {
-			for i := range chunk {
-				recycle(chunk[i].Delta)
-			}
-		}
-	}
-	reduceShards(n, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			flat[j] += agg[j]
-		}
-	})
-}
-
-// applyFold finishes the online fold: flat[j] += agg[j]/totalW, sharded over
-// borrowed workers. One add and one divide per element regardless of
-// sharding, so the result matches the single-goroutine loop bit for bit.
-func applyFold(flat, agg []float64, totalW float64, workers int) {
-	n := len(flat)
-	workers = borrowReduceWorkers(n, workers)
-	defer cputok.Default().Return(workers - 1)
-	reduceShards(n, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			flat[j] += agg[j] / totalW
-		}
-	})
-}
-
-// onlineFold streams completed updates into the aggregation accumulator in
-// participant-index order while the client phase is still running. Whichever
-// worker closes the gap at the in-order frontier folds every newly
-// contiguous update under the mutex, so the floating-point sequence — and
-// each update's validation verdict — is identical at any worker count.
-// Folded deltas recycle immediately: peak delta memory is the out-of-order
-// completion window (O(workers)), not the cohort.
-//
-// The fold accumulates unnormalized (agg[j] += w·d[j]) because totalW is
-// unknown until the last update lands; applyFold divides once at the end.
-// That changes the per-element operation sequence relative to the offline
-// reduce's (w/totalW)·d[j], so online and offline rounds are each
-// self-deterministic but not bit-identical to each other — the runner picks
-// the path from the config, never per-round.
-type onlineFold struct {
-	agg      []float64
-	updates  []Update
-	done     []bool
-	next     int
-	validate bool
-	maxNorm  float64
-	pool     *deltaPool
+// fold is the runner's one aggregation path: the weighted FedAvg mean of the
+// aggregated updates, accumulated unnormalized in participant-index order
+// (agg[j] += w·d[j], because ΣW is unknown until the last update lands) and
+// divided once by apply (flat[j] += agg[j]/ΣW). complete folds at the
+// in-order frontier, so every element sees the same floating-point sequence
+// whether updates arrive online in any completion order at any worker count,
+// or all at once after the cut. Each folded delta goes back to the pool at
+// once.
+type fold struct {
+	agg     []float64
+	updates []Update
+	done    []bool
+	// in masks the cut: nil folds every update that carries a delta (full
+	// aggregation); otherwise update i is folded only when in[i].
+	in   []bool
+	next int
+	pool *deltaPool
 
 	mu     sync.Mutex
 	totalW float64
 }
 
-// complete marks update i finished and folds the in-order frontier. Callers
-// must have published updates[i] before calling (the runner's worker loop
-// writes the slot, then calls complete; the fold's mutex orders the reads).
-func (f *onlineFold) complete(i int) {
+// reset prepares the fold for a round over updates with n parameters.
+func (f *fold) reset(updates []Update, n int) {
+	if len(f.agg) != n {
+		f.agg = make([]float64, n)
+	}
+	for j := range f.agg {
+		f.agg[j] = 0
+	}
+	if cap(f.done) < len(updates) {
+		f.done = make([]bool, len(updates))
+	}
+	f.done = f.done[:len(updates)]
+	for i := range f.done {
+		f.done[i] = false
+	}
+	f.updates, f.in, f.next, f.totalW = updates, nil, 0, 0
+}
+
+// complete marks update i finished and folds the in-order frontier. Dropped
+// and quarantined updates carry no delta and are skipped. Callers must have
+// published updates[i] before calling (the runner's worker loop writes the
+// slot, then calls complete; the fold's mutex orders the reads).
+func (f *fold) complete(i int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.done[i] = true
-	for f.next < len(f.updates) && f.done[f.next] {
+	for ; f.next < len(f.updates) && f.done[f.next]; f.next++ {
 		u := &f.updates[f.next]
-		f.next++
-		if u.Dropped {
-			continue // its partial delta is discarded by the cleanup loop
-		}
-		if f.validate && !deltaValid(u.Delta, f.maxNorm) {
-			u.Quarantined = true
-			f.pool.put(u.Delta)
-			u.Delta = nil
+		if u.Delta == nil || (f.in != nil && !f.in[f.next]) {
 			continue
 		}
 		w := u.Weight
@@ -834,6 +681,13 @@ func (f *onlineFold) complete(i int) {
 		f.totalW += w
 		f.pool.put(u.Delta)
 		u.Delta = nil
+	}
+}
+
+// apply adds the folded mean to flat.
+func (f *fold) apply(flat []float64) {
+	for j := range flat {
+		flat[j] += f.agg[j] / f.totalW
 	}
 }
 
